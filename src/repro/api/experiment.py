@@ -123,6 +123,8 @@ def execute(scenario: Scenario, fixd_config: Optional[FixDConfig] = None) -> Sce
     else:
         result = cluster.run(until=scenario.until, max_events=scenario.max_events)
     outcome = Outcome.from_run(scenario, cluster, fixd, result, check)
+    if durable is not None:
+        durable.close()  # the run is over: stop the pipelined writer thread
     return ScenarioRun(scenario=scenario, cluster=cluster, fixd=fixd, result=result, outcome=outcome)
 
 
@@ -324,7 +326,11 @@ class ResumedRun:
             until=until if until is not None else self.scenario.until,
             max_events=max_events if max_events is not None else self.scenario.max_events,
         )
-        return Outcome.from_run(self.scenario, cluster, fixd, result, check)
+        outcome = Outcome.from_run(self.scenario, cluster, fixd, result, check)
+        durable = fixd.time_machine.durable_store
+        if durable is not None:
+            durable.close()  # the continuation is over: stop the writer thread
+        return outcome
 
 
 def resume_run(run_id: str, store_path: str) -> ResumedRun:

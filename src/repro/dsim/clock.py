@@ -146,18 +146,21 @@ class VectorClock:
     recovery-line computation relies on.
 
     ``snapshot`` runs on every recorded action (twice per delivered
-    message), so the sorted order of the non-zero components is cached
-    and invalidated only when a component first becomes non-zero —
-    ticks and routine merges never pay the sort.
+    message) and every checkpoint, so the sorted order of the non-zero
+    components is cached and invalidated only when a component first
+    becomes non-zero — ticks and routine merges never pay the sort —
+    and the timestamp itself is memoized until the next ``tick``,
+    ``merge`` or ``restore``.
     """
 
-    __slots__ = ("pid", "_counters", "_order")
+    __slots__ = ("pid", "_counters", "_order", "_snap")
 
     def __init__(self, pid: str, initial: Mapping[str, int] | None = None) -> None:
         self.pid = pid
         self._counters: Dict[str, int] = dict(initial or {})
         self._counters.setdefault(pid, 0)
         self._order: Tuple[str, ...] | None = None
+        self._snap: VectorTimestamp | None = None
 
     def tick(self) -> VectorTimestamp:
         """Advance the local component and return the new timestamp."""
@@ -166,6 +169,7 @@ class VectorClock:
         counters[self.pid] = value
         if value == 1:
             self._order = None  # own component just became visible
+        self._snap = None
         return self.snapshot()
 
     def merge(self, other: VectorTimestamp) -> VectorTimestamp:
@@ -181,19 +185,23 @@ class VectorClock:
 
     def snapshot(self) -> VectorTimestamp:
         """Return an immutable copy of the current vector."""
-        order = self._order
-        if order is None:
-            order = self._order = tuple(
-                sorted(pid for pid, count in self._counters.items() if count)
-            )
-        counters = self._counters
-        return VectorTimestamp(tuple((pid, counters[pid]) for pid in order))
+        snap = self._snap
+        if snap is None:
+            order = self._order
+            if order is None:
+                order = self._order = tuple(
+                    sorted(pid for pid, count in self._counters.items() if count)
+                )
+            counters = self._counters
+            snap = self._snap = VectorTimestamp(tuple((pid, counters[pid]) for pid in order))
+        return snap
 
     def restore(self, timestamp: VectorTimestamp) -> None:
         """Reset the clock to ``timestamp`` (used on rollback)."""
         self._counters = timestamp.as_dict()
         self._counters.setdefault(self.pid, 0)
         self._order = None
+        self._snap = None
 
     def component(self, pid: str) -> int:
         """Return the current counter for ``pid``."""

@@ -32,7 +32,7 @@ Example
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsim.clock import LamportClock, VectorClock, VectorTimestamp
@@ -110,32 +110,106 @@ class ProcessContext:
     scroll_position_fn: Optional[Callable[[], Optional[int]]] = None
 
 
-@dataclass
 class ProcessCheckpoint:
-    """A self-contained snapshot of one process's local state.
+    """A snapshot of one process: its metadata plus its local state.
 
     The Time Machine wraps these into globally consistent recovery
     lines.  ``sequence`` is a per-process checkpoint counter; ``vt`` is
     the vector timestamp at capture time, which is what consistency
     checks compare.
+
+    The state is held in exactly one of two forms:
+
+    * ``pages`` — a copy-on-write capture
+      (:class:`~repro.timemachine.cow.CowCheckpoint`), the only copy the
+      Time Machine takes of a checkpoint's state;
+    * a plain dictionary — the deep copy :meth:`Process.capture_checkpoint`
+      takes when no pages are given (the oracle), or a state rebuilt
+      from the durable store.
+
+    :attr:`state` reads either form.  A page-backed checkpoint builds a
+    fresh dictionary on every read and never caches it, so a reader may
+    mutate what it gets without touching the checkpoint.
+
+    Restore contract (:meth:`fresh_state`): dict and list iteration
+    order is restored exactly.  Sharing *between top-level keys* (two
+    keys naming one object) is preserved by both forms.  Sharing nested
+    deeper — two keys whose *elements* are one object — is preserved by
+    the deep copy but restores as independent copies from pages, since
+    each top-level key is serialized on its own.
     """
 
-    pid: str
-    sequence: int
-    time: float
-    state: Dict[str, Any]
-    vt: VectorTimestamp
-    lamport: int
-    rng_draws: int
-    sent_count: int
-    received_count: int
-    extra: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "pid",
+        "sequence",
+        "time",
+        "vt",
+        "lamport",
+        "rng_draws",
+        "sent_count",
+        "received_count",
+        "extra",
+        "pages",
+        "_state",
+    )
+
+    def __init__(
+        self,
+        pid: str,
+        sequence: int,
+        time: float,
+        state: Optional[Dict[str, Any]] = None,
+        *,
+        vt: VectorTimestamp,
+        lamport: int,
+        rng_draws: int,
+        sent_count: int,
+        received_count: int,
+        extra: Optional[Dict[str, Any]] = None,
+        pages: Any = None,
+    ) -> None:
+        if (state is None) == (pages is None):
+            raise SimulationError("a checkpoint holds exactly one of state or pages")
+        self.pid = pid
+        self.sequence = sequence
+        self.time = time
+        self.vt = vt
+        self.lamport = lamport
+        self.rng_draws = rng_draws
+        self.sent_count = sent_count
+        self.received_count = received_count
+        self.extra: Dict[str, Any] = extra if extra is not None else {}
+        #: the page-backed state capture, or None for a plain-state checkpoint
+        self.pages = pages
+        self._state = state
+
+    @property
+    def state(self) -> Dict[str, Any]:
+        """The checkpointed state (rebuilt from pages on every read)."""
+        if self.pages is not None:
+            return self.pages.restore()
+        return self._state
+
+    def fresh_state(self) -> Dict[str, Any]:
+        """A new state dictionary sharing no mutable object with the checkpoint."""
+        if self.pages is not None:
+            return self.pages.restore()
+        return copy.deepcopy(self._state)
 
     def size_bytes(self) -> int:
-        """Approximate serialized size, used by checkpoint-cost benchmarks."""
+        """Serialized size of the state, used by checkpoint-cost benchmarks."""
+        if self.pages is not None:
+            return self.pages.total_bytes
         import pickle
 
-        return len(pickle.dumps(self.state, protocol=pickle.HIGHEST_PROTOCOL))
+        return len(pickle.dumps(self._state, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        form = "pages" if self.pages is not None else "state"
+        return (
+            f"ProcessCheckpoint(pid={self.pid!r}, sequence={self.sequence}, "
+            f"time={self.time}, {form})"
+        )
 
 
 class ConfiguredFactory:
@@ -414,8 +488,15 @@ class Process:
     # ------------------------------------------------------------------
     # checkpointing support
     # ------------------------------------------------------------------
-    def capture_checkpoint(self, time: float) -> ProcessCheckpoint:
-        """Capture a deep snapshot of the local state.
+    def capture_checkpoint(self, time: float, pages: Any = None) -> ProcessCheckpoint:
+        """Snapshot the process: its metadata plus its local state.
+
+        ``pages`` is a page-backed capture of :attr:`state` taken at
+        ``time`` (see :meth:`repro.timemachine.cow.CowPageStore.capture`);
+        the checkpoint then references it and copies no state.  Without
+        it the state is deep-copied — the oracle the page-backed path is
+        tested against, and what dsim-only callers such as
+        :meth:`~repro.dsim.cluster.Cluster.capture_all` get.
 
         When the environment records a Scroll, the checkpoint also
         stamps the log's current end position (``extra["scroll_position"]``
@@ -427,12 +508,13 @@ class Process:
             pid=self.pid,
             sequence=self._checkpoint_sequence,
             time=time,
-            state=copy.deepcopy(self.state),
+            state=None if pages is not None else copy.deepcopy(self.state),
             vt=self.vector_timestamp,
             lamport=self.lamport_time,
             rng_draws=self.ctx.rng.draws,
             sent_count=self._sent_count,
             received_count=self._received_count,
+            pages=pages,
         )
         position_fn = self.ctx.scroll_position_fn
         if position_fn is not None:
@@ -447,7 +529,7 @@ class Process:
             raise SimulationError(
                 f"checkpoint for {checkpoint.pid!r} cannot be restored into {self.pid!r}"
             )
-        self.state = copy.deepcopy(checkpoint.state)
+        self.state = checkpoint.fresh_state()
         if self._vector_clock is not None:
             self._vector_clock.restore(checkpoint.vt)
         if self._lamport is not None:

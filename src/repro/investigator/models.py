@@ -243,7 +243,7 @@ class DistributedSystemModel:
         cursors: Dict[str, int] = {}
         for pid in self._pids:
             if pid in checkpoint:
-                states[pid] = copy.deepcopy(checkpoint[pid].state)
+                states[pid] = checkpoint[pid].fresh_state()
                 cursors[pid] = checkpoint[pid].rng_draws
             else:
                 # Processes without a checkpoint start from their initial state.

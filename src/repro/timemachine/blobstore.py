@@ -432,14 +432,14 @@ class DurableCheckpointStore:
         crash mid-flush leaves the previous committed line as the
         newest readable one — never a partial line.
 
-        ``chunk_sources`` maps ``pid -> {key: cached chunk entries}``
-        straight out of the COW page store
-        (:meth:`~repro.timemachine.cow.CowPageStore.chunk_sources`): a
-        key covered there flushes the *capture-time* pickled bytes
-        without re-pickling, and a chunk whose durable address was
-        learned on an earlier commit and still exists on disk is flushed
-        by address alone — zero pickling, zero hashing, zero content IO.
-        Keys without a cached source fall back to re-chunking.
+        ``chunk_sources`` maps ``pid -> {key: cached chunk entries}``,
+        the whole chunk cache of that member's COW capture
+        (:attr:`~repro.timemachine.cow.CowCheckpoint.chunk_cache`): its
+        keys flush the *capture-time* pickled bytes without re-pickling,
+        and a chunk whose durable address was learned on an earlier
+        commit and still exists on disk is flushed by address alone —
+        zero pickling, zero hashing, zero content IO.  Members without a
+        source are re-chunked from their state.
 
         In pipelined mode the blob writes and the manifest rename run on
         the background writer; the returned counter dict is filled in as
@@ -478,10 +478,13 @@ class DurableCheckpointStore:
         checkpoints = []
         cost = 0
         for pid, checkpoint in sorted(line.checkpoints.items()):
-            source = (chunk_sources or {}).get(pid) or {}
+            # a capture's chunk cache names every key of its state, in
+            # order, so a sourced member never rebuilds its state here
+            source = (chunk_sources or {}).get(pid)
+            items = source.items() if source is not None else checkpoint.state.items()
             state_entries = []
-            for key, value in checkpoint.state.items():
-                cached = source.get(key)
+            for key, value in items:
+                cached = value if source is not None else None
                 if isinstance(cached, _CachedKey):
                     kind = "whole"
                     entries: List[_CachedKey] = [cached]

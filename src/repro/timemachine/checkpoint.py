@@ -1,4 +1,10 @@
-"""Checkpoint storage: per-process checkpoint logs and global checkpoints."""
+"""Checkpoint storage: per-process checkpoint logs and global checkpoints.
+
+:meth:`CheckpointStore.capture` is the one path every Time Machine
+policy checkpoints a process through; with a page store attached it
+captures the state once, as copy-on-write pages, and the logs own those
+pages' lifetime.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.dsim.process import ProcessCheckpoint
+from repro.dsim.process import Process, ProcessCheckpoint
 from repro.errors import CheckpointError
+from repro.timemachine.cow import CowPageStore
 
 
 def stamped_scroll_position(checkpoints: Iterable[ProcessCheckpoint]) -> Optional[int]:
@@ -34,6 +41,9 @@ class LocalCheckpointLog:
     truncated from the front (garbage collection after a committed
     recovery line) or from the back (discarding checkpoints that are in
     the future of a rollback).
+
+    The log owns the pages of its page-backed checkpoints: a checkpoint
+    it discards releases them, and is no longer restorable.
     """
 
     def __init__(self, pid: str, capacity: Optional[int] = None) -> None:
@@ -56,7 +66,7 @@ class LocalCheckpointLog:
             checkpoint.sequence = self._checkpoints[-1].sequence + 1
         self._checkpoints.append(checkpoint)
         if self.capacity is not None and len(self._checkpoints) > self.capacity:
-            self._checkpoints.pop(0)
+            _release([self._checkpoints.pop(0)])
         return checkpoint
 
     def __len__(self) -> int:
@@ -95,19 +105,35 @@ class LocalCheckpointLog:
 
     def drop_after(self, sequence: int) -> int:
         """Discard checkpoints with a sequence strictly greater than ``sequence``."""
-        before = len(self._checkpoints)
-        self._checkpoints = [c for c in self._checkpoints if c.sequence <= sequence]
-        return before - len(self._checkpoints)
+        return self._keep(lambda c: c.sequence <= sequence)
 
     def drop_before(self, sequence: int) -> int:
         """Garbage-collect checkpoints with a sequence strictly smaller than ``sequence``."""
-        before = len(self._checkpoints)
-        self._checkpoints = [c for c in self._checkpoints if c.sequence >= sequence]
-        return before - len(self._checkpoints)
+        return self._keep(lambda c: c.sequence >= sequence)
+
+    def clear(self) -> None:
+        """Discard every checkpoint."""
+        self._keep(lambda c: False)
+
+    def _keep(self, keep) -> int:
+        kept: List[ProcessCheckpoint] = []
+        dropped: List[ProcessCheckpoint] = []
+        for checkpoint in self._checkpoints:
+            (kept if keep(checkpoint) else dropped).append(checkpoint)
+        self._checkpoints = kept
+        _release(dropped)
+        return len(dropped)
 
     def total_bytes(self) -> int:
         """Approximate storage cost of the whole log."""
         return sum(checkpoint.size_bytes() for checkpoint in self._checkpoints)
+
+
+def _release(checkpoints: Iterable[ProcessCheckpoint]) -> None:
+    """Release the pages of discarded page-backed checkpoints."""
+    for checkpoint in checkpoints:
+        if checkpoint.pages is not None:
+            checkpoint.pages.release()
 
 
 @dataclass
@@ -152,11 +178,33 @@ class GlobalCheckpoint:
 
 
 class CheckpointStore:
-    """All local checkpoint logs of a running system, keyed by process id."""
+    """All local checkpoint logs of a running system, keyed by process id.
 
-    def __init__(self, capacity_per_process: Optional[int] = None) -> None:
+    ``pages`` is the copy-on-write page store :meth:`capture` writes
+    state into; without one, captures deep-copy the state (the oracle).
+    """
+
+    def __init__(
+        self,
+        capacity_per_process: Optional[int] = None,
+        pages: Optional[CowPageStore] = None,
+    ) -> None:
         self.capacity_per_process = capacity_per_process
+        self.pages = pages
         self._logs: Dict[str, LocalCheckpointLog] = {}
+
+    def capture(self, process: Process, time: float) -> ProcessCheckpoint:
+        """Checkpoint ``process`` at ``time`` into its log.
+
+        Every Time Machine capture (policies, speculations, coordinated
+        snapshots, on-demand checkpoints) comes through here, so each
+        checkpoint's state is captured exactly once: as pages when the
+        store has a page store, as a deep copy otherwise.
+        """
+        pages = None
+        if self.pages is not None:
+            pages = self.pages.capture(process.pid, process.state, time)
+        return self.add(process.capture_checkpoint(time, pages=pages))
 
     def log_for(self, pid: str) -> LocalCheckpointLog:
         """The checkpoint log of ``pid`` (created on first use)."""
@@ -193,4 +241,6 @@ class CheckpointStore:
         return sum(log.total_bytes() for log in self._logs.values())
 
     def clear(self) -> None:
+        for log in self._logs.values():
+            log.clear()
         self._logs.clear()

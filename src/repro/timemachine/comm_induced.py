@@ -20,36 +20,41 @@ from typing import Dict, Optional
 
 from repro.dsim.hooks import RuntimeHook
 from repro.timemachine.checkpoint import CheckpointStore
-from repro.timemachine.cow import CowPageStore
 
 
 class _CheckpointingHookBase(RuntimeHook):
-    """Shared plumbing for checkpoint policies implemented as runtime hooks."""
+    """Shared plumbing for checkpoint policies implemented as runtime hooks.
+
+    ``also_on_start`` captures one checkpoint per process when the run
+    starts, so even a process that never checkpoints otherwise has a
+    rollback target.
+    """
 
     def __init__(
-        self,
-        store: Optional[CheckpointStore] = None,
-        cow_store: Optional[CowPageStore] = None,
+        self, store: Optional[CheckpointStore] = None, also_on_start: bool = True
     ) -> None:
         self.store = store if store is not None else CheckpointStore()
-        self.cow_store = cow_store
+        self.also_on_start = also_on_start
         self._cluster = None
         self.checkpoints_taken: Dict[str, int] = defaultdict(int)
 
     def attach(self, cluster) -> None:
         self._cluster = cluster
 
+    def on_run_start(self, time: float) -> None:
+        if not self.also_on_start or self._cluster is None:
+            return
+        for pid in self._cluster.pids:
+            self.take_checkpoint(pid, time)
+
     def take_checkpoint(self, pid: str, time: float) -> None:
-        """Capture a local checkpoint of ``pid`` into the store(s)."""
+        """Capture a local checkpoint of ``pid`` into the store."""
         if self._cluster is None:
             return
         process = self._cluster.process(pid)
         if process.crashed:
             return
-        checkpoint = process.capture_checkpoint(time)
-        self.store.add(checkpoint)
-        if self.cow_store is not None:
-            self.cow_store.capture(pid, process.state, time, sequence=checkpoint.sequence)
+        self.store.capture(process, time)
         self.checkpoints_taken[pid] += 1
 
     def total_checkpoints(self) -> int:
@@ -57,27 +62,7 @@ class _CheckpointingHookBase(RuntimeHook):
 
 
 class CommunicationInducedCheckpointing(_CheckpointingHookBase):
-    """Checkpoint every process immediately before it receives a message.
-
-    ``also_on_start`` additionally captures one checkpoint per process
-    when the run starts, so even a process that never receives anything
-    has a rollback target.
-    """
-
-    def __init__(
-        self,
-        store: Optional[CheckpointStore] = None,
-        cow_store: Optional[CowPageStore] = None,
-        also_on_start: bool = True,
-    ) -> None:
-        super().__init__(store, cow_store)
-        self.also_on_start = also_on_start
-
-    def on_run_start(self, time: float) -> None:
-        if not self.also_on_start or self._cluster is None:
-            return
-        for pid in self._cluster.pids:
-            self.take_checkpoint(pid, time)
+    """Checkpoint every process immediately before it receives a message."""
 
     def before_receive(self, pid, message, time):
         self.take_checkpoint(pid, time)
@@ -90,21 +75,13 @@ class PeriodicCheckpointing(_CheckpointingHookBase):
         self,
         period: int = 10,
         store: Optional[CheckpointStore] = None,
-        cow_store: Optional[CowPageStore] = None,
         also_on_start: bool = True,
     ) -> None:
-        super().__init__(store, cow_store)
+        super().__init__(store, also_on_start)
         if period <= 0:
             raise ValueError("checkpoint period must be positive")
         self.period = period
-        self.also_on_start = also_on_start
         self._handler_counts: Dict[str, int] = defaultdict(int)
-
-    def on_run_start(self, time: float) -> None:
-        if not self.also_on_start or self._cluster is None:
-            return
-        for pid in self._cluster.pids:
-            self.take_checkpoint(pid, time)
 
     def after_handler(self, pid, description, time):
         self._handler_counts[pid] += 1

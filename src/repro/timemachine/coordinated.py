@@ -57,9 +57,7 @@ class CoordinatedSnapshotter:
             process = cluster.process(pid)
             if process.crashed:
                 continue
-            checkpoint = process.capture_checkpoint(cluster.now)
-            self.store.add(checkpoint)
-            bundle.add(checkpoint)
+            bundle.add(self.store.capture(process, cluster.now))
         in_flight = [event.payload for event in cluster.scheduler.pending(EventKind.DELIVER)]
         snapshot = CoordinatedSnapshot(
             global_checkpoint=bundle, in_flight=list(in_flight), time=cluster.now

@@ -10,6 +10,15 @@ content-addressed (BLAKE2b-128 of their bytes); an incremental
 checkpoint stores only the pages of keys mutated since the previous
 checkpoint plus references to unchanged pages.
 
+These pages are the only copy the Time Machine keeps of a checkpoint's
+state.  A :class:`~repro.dsim.process.ProcessCheckpoint` holds its
+metadata plus a reference to its :class:`CowCheckpoint`; rollback
+rebuilds fresh state objects from the pages, and a committed line
+flushes the capture's cached chunk bytes to the durable store without
+re-pickling them.  A checkpoint's pages live exactly as long as its
+checkpoint log holds it: the log releases them when it discards the
+checkpoint (:class:`~repro.timemachine.checkpoint.LocalCheckpointLog`).
+
 Large containers are additionally serialized *per chunk* so the cost of
 a capture scales with the element-level delta instead of the key size:
 
@@ -63,9 +72,10 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import CheckpointError
 
@@ -368,16 +378,37 @@ class CowCheckpoint:
     serialized_bytes: int = 0
     #: chunk decomposition per state key; ``None`` for whole-blob checkpoints.
     key_layouts: Optional[Dict[str, KeyLayout]] = None
-    #: the capture's cached chunk entries per state key — the exact
-    #: pickled bytes (and, once learned, durable addresses) this
-    #: checkpoint's pages were derived from.  Entries are shared with
+    #: the capture's cached chunk entries per state key, in the state's
+    #: iteration order — the exact pickled bytes (and, once learned,
+    #: durable addresses) this checkpoint's pages were derived from.
+    #: Commits flush these without re-pickling.  Entries are shared with
     #: neighbouring checkpoints when clean, so holding them costs what
     #: the page store already pays; ``None`` for whole-blob checkpoints.
     chunk_cache: Optional[Dict[Any, Union["_CachedKey", "_CachedChunked"]]] = None
+    #: weak reference to the page store holding this checkpoint's pages;
+    #: weak because the store's chain holds the checkpoint, and a cycle
+    #: would leave every finished store to the cyclic garbage collector
+    store_ref: Optional[Callable[[], Optional["CowPageStore"]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def pages(self) -> int:
         return len(self.page_hashes)
+
+    def restore(self) -> Dict[str, Any]:
+        """A fresh state dictionary rebuilt from this checkpoint's pages."""
+        store = self.store_ref() if self.store_ref is not None else None
+        if store is None:
+            raise CheckpointError(
+                f"the page store of checkpoint {self.sequence} of {self.pid!r} is gone"
+            )
+        return store.restore(self)
+
+    def release(self) -> int:
+        """Drop this checkpoint's page references; returns pages freed."""
+        store = self.store_ref() if self.store_ref is not None else None
+        return store.drop_checkpoint(self.pid, self.sequence) if store is not None else 0
 
     @property
     def sharing_ratio(self) -> float:
@@ -419,6 +450,7 @@ class CowPageStore:
         self.chunk_elems = chunk_elems
         # key-order vectors hold small scalars, so they pack denser
         self.order_elems = order_elems if order_elems is not None else chunk_elems * 8
+        self._ref = weakref.ref(self)
         self._pages: Dict[str, bytes] = {}
         self._page_refs: Dict[str, int] = {}
         self._checkpoints: Dict[str, List[CowCheckpoint]] = {}
@@ -441,12 +473,14 @@ class CowPageStore:
         the previous capture of ``pid`` are pickled and hashed; clean
         keys re-reference their cached pages.
 
-        States whose top-level mutable values alias each other (or the
-        state dict itself) are captured as a single whole-dict blob so
-        :meth:`restore` preserves the identity sharing; per-key capture
-        would restore independent copies.  Aliasing nested deeper than
-        one level (e.g. two keys whose *elements* are shared) is not
-        detected and restores as copies.
+        Restore contract: :meth:`restore` returns fresh objects with dict
+        and list iteration order intact.  States whose top-level mutable
+        values alias each other (or the state dict itself) are captured
+        as a single whole-dict blob, so that sharing survives the
+        restore.  Sharing nested deeper than one level (two keys whose
+        *elements* are one object) is not detected: each key is pickled
+        on its own, so it restores as independent copies — unlike a
+        deep copy of the whole state, which keeps it.
         """
         if _has_top_level_aliasing(state):
             return self._capture_whole(pid, state, time, extra)
@@ -508,6 +542,7 @@ class CowPageStore:
             serialized_bytes=self._cap_serialized,
             key_layouts=key_layouts,
             chunk_cache=next_cache,
+            store_ref=self._ref,
         )
         self._checkpoints.setdefault(pid, []).append(checkpoint)
         return checkpoint
@@ -624,6 +659,7 @@ class CowPageStore:
             hashed_bytes=hashed_bytes,
             serialized_bytes=serialized_bytes,
             key_layouts=None,
+            store_ref=self._ref,
         )
         self._checkpoints.setdefault(pid, []).append(checkpoint)
         return checkpoint
@@ -692,27 +728,6 @@ class CowPageStore:
     def chain(self, pid: str) -> List[CowCheckpoint]:
         """All incremental checkpoints of ``pid`` in capture order."""
         return list(self._checkpoints.get(pid, ()))
-
-    def chunk_sources(
-        self, pid: str, sequence: Any
-    ) -> Optional[Dict[Any, Union[_CachedKey, _CachedChunked]]]:
-        """The cached chunk entries of the capture stamped ``sequence``.
-
-        ``sequence`` is the *process-checkpoint* sequence the policy
-        recorded in the capture's ``extra`` (not the COW store's own
-        counter).  This is what the durable store consumes to flush a
-        committed line without re-pickling: each entry holds the exact
-        bytes the capture serialized, plus the durable address once the
-        store has learned it.  Returns ``None`` when no matching capture
-        is held (dropped, whole-blob, or never routed through this
-        store) — the durable flush then falls back to re-chunking.
-        """
-        if sequence is None:
-            return None
-        for checkpoint in reversed(self._checkpoints.get(pid, ())):
-            if checkpoint.extra.get("sequence") == sequence:
-                return checkpoint.chunk_cache
-        return None
 
     # ------------------------------------------------------------------
     # accounting

@@ -43,7 +43,7 @@ class RollbackManager:
     request along a different path.
     """
 
-    def __init__(self, cluster, durable=None, cow=None) -> None:
+    def __init__(self, cluster, durable=None, reuse_chunks: bool = False) -> None:
         self._cluster = cluster
         self._alternate_paths: Dict[str, Callable[[object], None]] = {}
         self.history: List[RollbackResult] = []
@@ -51,10 +51,10 @@ class RollbackManager:
         self.committed_lines: List[RecoveryLine] = []
         #: optional DurableCheckpointStore; committed lines flush to it
         self._durable = durable
-        #: optional CowPageStore whose per-capture chunk caches feed the
-        #: durable flush (zero-re-pickle commits); the caller guarantees
-        #: its chunk layout parameters match the durable store's
-        self._cow = cow
+        #: flush page-backed members from their capture's chunk cache
+        #: (zero-re-pickle commits); the caller guarantees the page
+        #: store's chunk layout parameters match the durable store's
+        self._reuse_chunks = reuse_chunks
         #: per-flush counter dicts returned by the durable store
         self.durable_flushes: List[Dict[str, int]] = []
         #: per-flush counter dicts for durable Scroll segments
@@ -190,10 +190,11 @@ class RollbackManager:
         position = line.scroll_position()
         if self._durable is not None:
             chunk_sources = None
-            if self._cow is not None:
+            if self._reuse_chunks:
                 chunk_sources = {
-                    pid: self._cow.chunk_sources(pid, checkpoint.sequence)
+                    pid: checkpoint.pages.chunk_cache
                     for pid, checkpoint in line.checkpoints.items()
+                    if checkpoint.pages is not None
                 }
             self.durable_flushes.append(
                 self._durable.flush_line(line, chunk_sources=chunk_sources)

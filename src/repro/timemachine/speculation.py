@@ -39,7 +39,6 @@ from repro.dsim.hooks import RuntimeHook
 from repro.dsim.process import ProcessCheckpoint
 from repro.errors import SpeculationError
 from repro.timemachine.checkpoint import CheckpointStore
-from repro.timemachine.cow import CowCheckpoint, CowPageStore
 
 
 class SpeculationStatus(Enum):
@@ -61,10 +60,10 @@ class Speculation:
     started_at: float
     status: SpeculationStatus = SpeculationStatus.ACTIVE
     members: Set[str] = field(default_factory=set)
+    #: the checkpoint each member took on entry; it lives in the shared
+    #: checkpoint store, which owns its pages, so it stays restorable
+    #: after the speculation resolves
     checkpoints: Dict[str, ProcessCheckpoint] = field(default_factory=dict)
-    #: the incremental COW checkpoint each member took on entry (when a
-    #: CowPageStore is attached); released when the speculation resolves
-    cow_checkpoints: Dict[str, CowCheckpoint] = field(default_factory=dict)
     alternate_path: Optional[Callable[[str], None]] = None
     resolved_at: Optional[float] = None
 
@@ -83,13 +82,8 @@ class Speculation:
 class SpeculationManager(RuntimeHook):
     """Tracks speculations, taint propagation, absorption and rollback."""
 
-    def __init__(
-        self,
-        store: Optional[CheckpointStore] = None,
-        cow_store: Optional[CowPageStore] = None,
-    ) -> None:
+    def __init__(self, store: Optional[CheckpointStore] = None) -> None:
         self.store = store if store is not None else CheckpointStore()
-        self.cow_store = cow_store
         self._cluster = None
         self._speculations: Dict[str, Speculation] = {}
         #: speculation ids each process is currently inside
@@ -98,8 +92,6 @@ class SpeculationManager(RuntimeHook):
         self._message_taint: Dict[int, Set[str]] = {}
         self.rollbacks_performed = 0
         self.absorptions = 0
-        #: pages released by incremental COW garbage collection on resolve
-        self.cow_pages_freed = 0
 
     def attach(self, cluster) -> None:
         self._cluster = cluster
@@ -118,13 +110,7 @@ class SpeculationManager(RuntimeHook):
             raise SpeculationError("speculation manager is not attached to a cluster")
         process = self._cluster.process(pid)
         spec_id = f"spec-{next(_speculation_counter)}"
-        checkpoint = process.capture_checkpoint(self._cluster.now)
-        self.store.add(checkpoint)
-        cow_checkpoints: Dict[str, CowCheckpoint] = {}
-        if self.cow_store is not None:
-            cow_checkpoints[pid] = self.cow_store.capture(
-                pid, process.state, self._cluster.now, speculation=spec_id
-            )
+        checkpoint = self.store.capture(process, self._cluster.now)
         speculation = Speculation(
             spec_id=spec_id,
             initiator=pid,
@@ -132,7 +118,6 @@ class SpeculationManager(RuntimeHook):
             started_at=self._cluster.now,
             members={pid},
             checkpoints={pid: checkpoint},
-            cow_checkpoints=cow_checkpoints,
             alternate_path=alternate_path,
         )
         self._speculations[spec_id] = speculation
@@ -183,23 +168,6 @@ class SpeculationManager(RuntimeHook):
             active = self._active_by_pid.get(pid)
             if active is not None:
                 active.discard(speculation.spec_id)
-        self._release_cow_checkpoints(speculation)
-
-    def _release_cow_checkpoints(self, speculation: Speculation) -> None:
-        """Discard the resolved speculation's incremental checkpoints.
-
-        Section 4.2: a committed speculation's checkpoint is discarded
-        (and an aborted one's has been consumed by the rollback).  Only
-        the checkpoints this speculation itself captured are dropped —
-        the COW store is shared with the periodic/communication-induced
-        policies, whose chains must stay restorable.
-        """
-        if self.cow_store is None:
-            return
-        for pid, cow_checkpoint in speculation.cow_checkpoints.items():
-            self.cow_pages_freed += self.cow_store.drop_checkpoint(
-                pid, cow_checkpoint.sequence
-            )
 
     # ------------------------------------------------------------------
     # queries
@@ -245,14 +213,8 @@ class SpeculationManager(RuntimeHook):
         process = self._cluster.process(pid) if self._cluster else None
         if process is None or process.crashed:
             return
-        checkpoint = process.capture_checkpoint(time)
-        self.store.add(checkpoint)
-        if self.cow_store is not None:
-            speculation.cow_checkpoints[pid] = self.cow_store.capture(
-                pid, process.state, time, speculation=speculation.spec_id
-            )
         speculation.members.add(pid)
-        speculation.checkpoints[pid] = checkpoint
+        speculation.checkpoints[pid] = self.store.capture(process, time)
         self._active_by_pid.setdefault(pid, set()).add(speculation.spec_id)
         self.absorptions += 1
 
@@ -267,6 +229,5 @@ class SpeculationManager(RuntimeHook):
             "total": len(self._speculations),
             "absorptions": self.absorptions,
             "rollbacks": self.rollbacks_performed,
-            "cow_pages_freed": self.cow_pages_freed,
             **by_status,
         }

@@ -5,12 +5,18 @@ This is the component FixD's orchestration talks to.  It bundles
 * a checkpoint *policy* hook (communication-induced, periodic, or
   coordinated snapshots on demand),
 * the shared :class:`~repro.timemachine.checkpoint.CheckpointStore` and
-  optional :class:`~repro.timemachine.cow.CowPageStore`,
+  the :class:`~repro.timemachine.cow.CowPageStore` behind it,
 * the :class:`~repro.timemachine.speculation.SpeculationManager`, and
 * a :class:`~repro.timemachine.rollback.RollbackManager`
 
 behind a small API: ``attach(cluster)``, ``rollback_to_consistent_state()``
 and ``stats()``.
+
+Each checkpoint is captured once.  Every capture path goes through
+:meth:`CheckpointStore.capture`, which pickles the state into
+copy-on-write pages; the checkpoint keeps its metadata plus a reference
+to those pages, rollback rebuilds the state from them, and a committed
+line flushes their cached chunk bytes to the optional durable store.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ class TimeMachineConfig:
 
     policy: CheckpointPolicy = CheckpointPolicy.COMMUNICATION_INDUCED
     periodic_interval: int = 10
-    use_cow_store: bool = True
     cow_page_size: int = 1024
     checkpoint_capacity_per_process: Optional[int] = None
     #: containers with at least this many elements capture per chunk
@@ -104,15 +109,13 @@ class TimeMachine:
                 f"unknown checkpoint_store {self.config.checkpoint_store!r} "
                 "(expected 'memory' or 'disk')"
             )
-        self.store = CheckpointStore(self.config.checkpoint_capacity_per_process)
-        self.cow_store = (
-            CowPageStore(
-                self.config.cow_page_size,
-                chunk_threshold=self.config.chunk_threshold,
-                chunk_elems=self.config.chunk_elems,
-            )
-            if self.config.use_cow_store
-            else None
+        self.cow_store = CowPageStore(
+            self.config.cow_page_size,
+            chunk_threshold=self.config.chunk_threshold,
+            chunk_elems=self.config.chunk_elems,
+        )
+        self.store = CheckpointStore(
+            self.config.checkpoint_capacity_per_process, pages=self.cow_store
         )
         self.durable_store: Optional[DurableCheckpointStore] = None
         if self.config.checkpoint_store == "disk":
@@ -130,7 +133,7 @@ class TimeMachine:
                 flush_mode=self.config.flush_mode,
                 flush_queue_bytes=self.config.flush_queue_bytes,
             )
-        self.speculations = SpeculationManager(self.store, self.cow_store)
+        self.speculations = SpeculationManager(self.store)
         self._cluster = None
         self._rollback_manager: Optional[RollbackManager] = None
         self._policy_hook = None
@@ -145,26 +148,23 @@ class TimeMachine:
         # the COW chunk caches can feed the durable flush (zero-re-pickle
         # commits) only when both stores cut identical chunk layouts —
         # always true through this config, but guarded for direct users
-        cow_for_flush = None
-        if (
-            self.cow_store is not None
-            and self.durable_store is not None
-            and self.cow_store.chunk_threshold == self.durable_store.chunk_threshold
-            and self.cow_store.chunk_elems == self.durable_store.chunk_elems
-            and self.cow_store.order_elems == self.durable_store.order_elems
-        ):
-            cow_for_flush = self.cow_store
+        durable = self.durable_store
+        reuse_chunks = durable is not None and (
+            self.cow_store.chunk_threshold,
+            self.cow_store.chunk_elems,
+            self.cow_store.order_elems,
+        ) == (durable.chunk_threshold, durable.chunk_elems, durable.order_elems)
         self._rollback_manager = RollbackManager(
-            cluster, durable=self.durable_store, cow=cow_for_flush
+            cluster, durable=durable, reuse_chunks=reuse_chunks
         )
         if self.durable_store is not None and self.durable_store.pipeline is not None:
             cluster.add_hook(_DurableDrainHook(self.durable_store))
         if self.config.policy is CheckpointPolicy.COMMUNICATION_INDUCED:
-            self._policy_hook = CommunicationInducedCheckpointing(self.store, self.cow_store)
+            self._policy_hook = CommunicationInducedCheckpointing(self.store)
             cluster.add_hook(self._policy_hook)
         elif self.config.policy is CheckpointPolicy.PERIODIC:
             self._policy_hook = PeriodicCheckpointing(
-                self.config.periodic_interval, self.store, self.cow_store
+                self.config.periodic_interval, self.store
             )
             cluster.add_hook(self._policy_hook)
         else:
@@ -194,13 +194,7 @@ class TimeMachine:
 
     def checkpoint_process(self, pid: str) -> None:
         """Force a local checkpoint of one process right now."""
-        process = self.cluster.process(pid)
-        checkpoint = process.capture_checkpoint(self.cluster.now)
-        self.store.add(checkpoint)
-        if self.cow_store is not None:
-            self.cow_store.capture(
-                pid, process.state, self.cluster.now, sequence=checkpoint.sequence
-            )
+        self.store.capture(self.cluster.process(pid), self.cluster.now)
 
     # ------------------------------------------------------------------
     # recovery
@@ -238,15 +232,14 @@ class TimeMachine:
             "checkpoint_bytes_full": self.store.total_bytes(),
             "rollbacks": self._rollback_manager.rollbacks_performed if self._rollback_manager else 0,
             "speculations": self.speculations.stats(),
-        }
-        if self.cow_store is not None:
-            stats["cow_stored_bytes"] = self.cow_store.stored_bytes()
-            stats["cow_logical_bytes"] = self.cow_store.logical_bytes()
-            stats["cow_savings_ratio"] = self.cow_store.savings_ratio()
+            "cow_stored_bytes": self.cow_store.stored_bytes(),
+            "cow_logical_bytes": self.cow_store.logical_bytes(),
+            "cow_savings_ratio": self.cow_store.savings_ratio(),
             # dirty-tracking effectiveness: how much capture work the
             # per-key cache avoided across the run
-            stats["cow_hashed_bytes"] = self.cow_store.hashed_bytes_total
-            stats["cow_serialized_bytes"] = self.cow_store.serialized_bytes_total
+            "cow_hashed_bytes": self.cow_store.hashed_bytes_total,
+            "cow_serialized_bytes": self.cow_store.serialized_bytes_total,
+        }
         if self.durable_store is not None:
             stats["durable"] = self.durable_store.stats()
         return stats

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -292,6 +293,25 @@ class TestResume:
     def test_scenario_name_with_path_separator_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario(app="kvstore", name="../evil")
+
+    def test_pipelined_run_and_continuation_stop_their_writer_threads(self, store_path):
+        """Regression: nothing closed the durable store, so a pipelined run
+        and its continuation each left a flush-pipeline thread alive."""
+
+        def writer_threads() -> int:
+            return sum(
+                1
+                for thread in threading.enumerate()
+                if thread.name.endswith("-pipeline") and thread.is_alive()
+            )
+
+        before = writer_threads()
+        Experiment(
+            [kv_scenario("leak", store_path, until=4.0, flush_mode="pipelined")]
+        ).run()
+        assert writer_threads() == before
+        Experiment.resume("leak", store_path).continue_run(until=6.0)
+        assert writer_threads() == before
 
     def test_resume_unknown_run_raises(self, store_path):
         Experiment([kv_scenario("present", store_path, until=4.0)]).run()

@@ -75,6 +75,31 @@ class TestVectorTimestampProperties:
             assert previous < current
             previous = current
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("tick"), st.just({})),
+                st.tuples(st.just("merge"), vt_maps),
+                st.tuples(st.just("restore"), vt_maps),
+            ),
+            max_size=25,
+        )
+    )
+    def test_memoized_snapshot_matches_a_fresh_one(self, operations):
+        clock = VectorClock("a")
+        for op, mapping in operations:
+            if op == "tick":
+                clock.tick()
+            elif op == "merge":
+                clock.merge(VectorTimestamp.from_mapping(mapping))
+            else:
+                clock.restore(VectorTimestamp.from_mapping(mapping))
+            fresh = VectorTimestamp.from_mapping(
+                {pid: clock.component(pid) for pid in ("a", "b", "c", "d")}
+            )
+            assert clock.snapshot() == fresh
+            assert clock.snapshot() == fresh  # a memo hit
+
 
 # ----------------------------------------------------------------------
 # RNG rewind fidelity

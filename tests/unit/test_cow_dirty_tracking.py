@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.errors import CheckpointError
+from repro.timemachine.checkpoint import CheckpointStore
 from repro.timemachine.cow import CowPageStore
 from repro.timemachine.speculation import SpeculationManager
 
@@ -334,6 +337,19 @@ class TestRefcountGC:
         with pytest.raises(CheckpointError):
             store.restore(spec_entry)
 
+    def test_store_is_freed_by_refcount_while_checkpoints_live(self):
+        # checkpoints point back at their store weakly: a store and its
+        # chain form no cycle, so dropping the store frees it at once
+        store = CowPageStore(page_size=32)
+        checkpoint = store.capture("p", {"v": [1, 2]}, 0.0)
+        assert checkpoint.restore() == {"v": [1, 2]}
+        alive = weakref.ref(store)
+        del store
+        assert alive() is None
+        with pytest.raises(CheckpointError):
+            checkpoint.restore()
+        assert checkpoint.release() == 0
+
     def test_drop_checkpoint_unknown_sequence_is_noop(self):
         store = CowPageStore(page_size=32)
         checkpoint = store.capture("p", {"v": 1}, 0.0)
@@ -342,23 +358,26 @@ class TestRefcountGC:
         assert store.restore(checkpoint) == {"v": 1}
 
     def test_speculation_resolve_spares_other_policies_checkpoints(self):
-        # A periodic-policy checkpoint taken before the speculation must
-        # survive the speculation's commit-time GC of the shared store.
-        store = CowPageStore(page_size=32)
+        # The checkpoint store's logs own page lifetime: resolving a
+        # speculation frees neither a policy checkpoint sharing the page
+        # store nor the speculation's own entry checkpoint, which the
+        # log still holds.
+        pages = CowPageStore(page_size=32)
+        store = CheckpointStore(pages=pages)
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        manager = SpeculationManager(cow_store=store)
+        manager = SpeculationManager(store)
         cluster.add_hook(manager)
         cluster.start()
         process = cluster.process("p0")
-        periodic = store.capture("p0", process.state, cluster.now, policy="periodic")
+        periodic = store.capture(process, cluster.now)
         spec = manager.begin("p0", "remote will ack")
         manager.commit(spec.spec_id)
-        assert manager.cow_pages_freed >= 0
-        assert store.restore(periodic) == process.state
-        # the speculation's own entry checkpoint is gone from the chain
-        remaining = [c.sequence for c in store.chain("p0")]
-        assert spec.cow_checkpoints["p0"].sequence not in remaining
-        assert periodic.sequence in remaining
+        entry = spec.checkpoints["p0"]
+        assert periodic.state == process.state
+        assert entry.state == process.state
+        remaining = [c.sequence for c in pages.chain("p0")]
+        assert periodic.pages.sequence in remaining
+        assert entry.pages.sequence in remaining
 
     def test_drop_before_frees_only_unshared_pages(self):
         store = CowPageStore(page_size=32)
